@@ -70,9 +70,10 @@ from ..query.varlength import (
     prefix_search_with_tail,
 )
 from .batch import BatchResult
+from .distance import reorder_by_magnitude
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import verify
+from .verification import PROBE_COLUMNS, partial_distance, verify
 from .windows import WindowSource
 
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
@@ -1016,8 +1017,10 @@ class FrozenTSIndex:
 
         All ``(query, candidate)`` pairs are verified together with a
         handful of chunked reductions instead of one :func:`verify` call
-        per query; results (and counters) are exactly those of the
-        per-query ``"bulk"`` verifier.
+        per query, in the same two passes as
+        :func:`~repro.core.verification.verify_positions`; results (and
+        counters) are exactly those of the per-query ``"bulk"``
+        verifier.
         """
         nq = len(candidates)
         counts = np.asarray([c.size for c in candidates], dtype=np.int64)
@@ -1033,13 +1036,30 @@ class FrozenTSIndex:
         all_positions = all_positions[order]
         all_q = all_q[order]
 
+        # The two passes of verify_positions over the pairs: each
+        # query's PROBE_COLUMNS largest-|value| timestamps for every
+        # pair, then the whole window for the pairs still within ε.
         matrix = np.stack(queries)
+        probes = np.stack(
+            [reorder_by_magnitude(query)[:PROBE_COLUMNS] for query in queries]
+        )
         profile = np.empty(total, dtype=FLOAT_DTYPE)
         rows = max(1, _BOUND_CHUNK // max(1, self.length))
         for start, stop in iter_chunks(total, rows):
-            block = self._source.windows(all_positions[start:stop])
-            np.abs(block - matrix[all_q[start:stop]], out=block)
-            block.max(axis=1, out=profile[start:stop])
+            positions = all_positions[start:stop]
+            pair_q = all_q[start:stop]
+            columns = probes[pair_q]
+            running = partial_distance(
+                self._source, positions, columns,
+                np.take_along_axis(matrix[pair_q], columns, axis=1),
+            )
+            alive = np.flatnonzero(running <= epsilon)
+            if alive.size and probes.shape[1] < self.length:
+                block = self._source.windows(positions[alive])
+                np.subtract(block, matrix[pair_q[alive]], out=block)
+                np.abs(block, out=block)
+                running[alive] = block.max(axis=1)
+            profile[start:stop] = running
         keep = profile <= epsilon
 
         boundaries = np.searchsorted(all_q, np.arange(nq + 1))

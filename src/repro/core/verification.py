@@ -2,22 +2,31 @@
 
 Every index produces *candidate* window positions; verification computes
 the exact Chebyshev distance of each candidate to the query and keeps the
-twins. Three interchangeable strategies are provided:
+twins. Four interchangeable strategies are provided:
 
-* :func:`verify_positions` — fully vectorized: one NumPy reduction per
-  chunk of candidates. Fastest when most candidates qualify or ``l`` is
-  small.
-* :func:`verify_positions_blocked` — *blocked reordering early
-  abandoning*: timestamps are processed in blocks ordered by decreasing
-  query magnitude, and candidates whose partial distance already exceeds
-  ``ε`` are dropped between blocks. This is the vectorized analogue of
-  the UCR-suite optimization the paper adopts; it wins when candidates
-  are plentiful but matches are rare.
+* :func:`verify_positions` — the library default (``bulk``): a
+  two-pass form of the UCR-suite *reordering early abandoning* the
+  paper adopts. Query timestamps are ordered by decreasing magnitude;
+  the first pass gathers the :data:`PROBE_COLUMNS` leading columns of
+  every candidate and drops those already farther than ``ε``, the
+  second gathers the remaining ``l - PROBE_COLUMNS`` columns for the
+  survivors only, so the running maximum is the exact distance. Both
+  passes read cells with :meth:`WindowSource.window_columns`, never a
+  full-window copy of a candidate that the first pass rejects. Every
+  frozen, sharded, live and variable-length search verifies here.
+* :func:`verify_positions_blocked` — the same early abandoning in
+  ``block_size``-column blocks, gathering each block for the current
+  survivors only.
 * :func:`verify_intervals` — verifies contiguous position runs directly
-  against zero-copy window blocks (used by KV-Index, whose inverted lists
-  store intervals).
+  against zero-copy window blocks (used by KV-Index and the sweepline
+  scan, whose candidates are intervals); it copies nothing, so it keeps
+  a one-pass reduction.
+* :func:`verify_positions_per_candidate` — one window at a time, the
+  paper's cost model and the reference the others are tested against.
 
-All strategies return identical results; tests enforce this.
+All strategies return identical results — positions, distances (bit for
+bit: a maximum does not depend on the order its terms are visited) and
+counters; tests enforce this.
 """
 
 from __future__ import annotations
@@ -42,8 +51,13 @@ DEFAULT_CHUNK = 4096
 #: Timestamp block width for blocked early abandoning.
 DEFAULT_BLOCK = 16
 
+#: Columns (the largest-``|query|`` timestamps) that the first pass of
+#: :func:`verify_positions` gathers for every candidate; only the
+#: candidates within ``ε`` on all of them get their other columns read.
+PROBE_COLUMNS = 8
+
 #: Verification strategies accepted by every method's ``search``:
-#: ``bulk`` — vectorized batches (fastest in NumPy; the library default);
+#: ``bulk`` — two-pass vectorized early abandoning (the library default);
 #: ``blocked`` — vectorized blocked reordering early abandoning;
 #: ``per_candidate`` — one check per candidate, the paper's cost model
 #: (their data lived on disk and each candidate was fetched by random
@@ -66,6 +80,11 @@ def verify_positions(
     ``query`` must already be expressed in the source's value domain
     (callers use :meth:`WindowSource.prepare_query`). Returns a
     :class:`SearchResult` with positions sorted ascending.
+
+    Two passes per chunk: the :data:`PROBE_COLUMNS` timestamps of
+    largest ``|query|`` are gathered for every candidate, and only the
+    candidates still within ``ε`` there have their remaining columns
+    gathered; the running maximum is then the exact distance.
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
     positions = np.sort(as_position_array(positions))
@@ -73,16 +92,26 @@ def verify_positions(
     stats.candidates += int(positions.size)
     stats.verified += int(positions.size)
 
+    order = reorder_by_magnitude(query)
+    probe, rest = order[:PROBE_COLUMNS], order[PROBE_COLUMNS:]
     matched_positions: list[np.ndarray] = []
     matched_distances: list[np.ndarray] = []
     for start, stop in iter_chunks(positions.size, chunk_size):
-        chunk = positions[start:stop]
-        block = source.windows(chunk)
-        profile = np.max(np.abs(block - query), axis=1)
-        keep = profile <= epsilon
-        if np.any(keep):
-            matched_positions.append(chunk[keep])
-            matched_distances.append(profile[keep])
+        alive = positions[start:stop]
+        running = partial_distance(source, alive, probe, query[probe])
+        keep = running <= epsilon
+        alive, running = alive[keep], running[keep]
+        if rest.size and alive.size:
+            np.maximum(
+                running,
+                partial_distance(source, alive, rest, query[rest]),
+                out=running,
+            )
+            keep = running <= epsilon
+            alive, running = alive[keep], running[keep]
+        if alive.size:
+            matched_positions.append(alive)
+            matched_distances.append(running)
 
     return _collect(matched_positions, matched_distances, stats)
 
@@ -102,7 +131,7 @@ def verify_positions_blocked(
     Timestamps are visited in blocks sorted by decreasing query magnitude
     (see :func:`~repro.core.distance.reorder_by_magnitude`); after each
     block, candidates whose running maximum difference exceeds ``ε`` are
-    discarded, so later blocks touch progressively fewer rows.
+    discarded, so later blocks gather progressively fewer cells.
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
     positions = np.sort(as_position_array(positions))
@@ -114,30 +143,45 @@ def verify_positions_blocked(
     matched_positions: list[np.ndarray] = []
     matched_distances: list[np.ndarray] = []
     for start, stop in iter_chunks(positions.size, chunk_size):
-        # Keep the survivors *compacted*: ``survivors`` always holds only
-        # the still-alive rows, so each block performs a single column
-        # fancy-index (``survivors[:, idx]``) instead of the double
-        # ``block[alive][:, idx]`` gather that copied the full alive
-        # submatrix once per block.
-        alive_positions = positions[start:stop]
-        survivors = source.windows(alive_positions)
-        running = np.zeros(alive_positions.size)
+        alive = positions[start:stop]
+        running = np.zeros(alive.size)
         for block_start, block_stop in iter_chunks(order.size, block_size):
             idx = order[block_start:block_stop]
-            diffs = np.max(np.abs(survivors[:, idx] - query[idx]), axis=1)
-            np.maximum(running, diffs, out=running)
+            np.maximum(
+                running, partial_distance(source, alive, idx, query[idx]), out=running
+            )
             keep = running <= epsilon
             if not keep.all():
-                survivors = survivors[keep]
-                alive_positions = alive_positions[keep]
+                alive = alive[keep]
                 running = running[keep]
-            if alive_positions.size == 0:
+            if alive.size == 0:
                 break
-        if alive_positions.size:
-            matched_positions.append(alive_positions)
+        if alive.size:
+            matched_positions.append(alive)
             matched_distances.append(running)
 
     return _collect(matched_positions, matched_distances, stats)
+
+
+def partial_distance(
+    source: WindowSource,
+    positions: np.ndarray,
+    columns: np.ndarray,
+    query_cells: np.ndarray,
+) -> np.ndarray:
+    """Chebyshev distance of each window at ``positions`` to the query,
+    restricted to ``columns``: ``max |window[c] - query[c]|``.
+
+    ``query_cells`` holds the query's values at ``columns``; both may
+    be ``(k, c)`` arrays giving each window its own columns (see
+    :meth:`WindowSource.window_columns`). A lower bound on the full
+    distance, and equal to it bit for bit once ``columns`` covers the
+    window.
+    """
+    block = source.window_columns(positions, columns)
+    np.subtract(block, query_cells, out=block)
+    np.abs(block, out=block)
+    return block.max(axis=1)
 
 
 def verify_intervals(

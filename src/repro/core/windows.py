@@ -140,6 +140,45 @@ class WindowSource:
 
         Always returns a fresh writable array (the raw view is shared).
         """
+        positions = self._checked_positions(positions)
+        block = np.array(self._view[positions], dtype=FLOAT_DTYPE)
+        if self._normalization is Normalization.PER_WINDOW and positions.size:
+            block -= self._means[positions, None]
+            block /= self._stds[positions, None]
+        return block
+
+    def window_columns(
+        self, positions: npt.ArrayLike, columns: npt.ArrayLike
+    ) -> np.ndarray:
+        """A fresh ``(k, c)`` matrix: the cells ``columns`` of the windows
+        at ``positions``.
+
+        Byte-identical to ``windows(positions)[:, columns]``, but only
+        the requested cells are read — as ``values[positions[:, None] +
+        columns]`` from the prepared buffer — and ``PER_WINDOW`` scaling
+        is applied to those cells alone. ``columns`` may also be a
+        ``(k, c)`` array giving every window its own cells (then the
+        result equals ``np.take_along_axis(windows(positions), columns,
+        axis=1)``). This is the gather behind two-pass and blocked
+        verification, which read a few columns of every candidate and
+        the rest only for the survivors.
+        """
+        positions = self._checked_positions(positions)
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.size and (
+            columns.min() < 0 or columns.max() >= self._length
+        ):
+            raise InvalidParameterError(
+                f"columns must lie in [0, {self._length}); got range "
+                f"[{columns.min()}, {columns.max()}]"
+            )
+        block = self._values[positions[:, None] + columns]
+        if self._normalization is Normalization.PER_WINDOW and positions.size:
+            block -= self._means[positions, None]
+            block /= self._stds[positions, None]
+        return block
+
+    def _checked_positions(self, positions: npt.ArrayLike) -> np.ndarray:
         positions = as_position_array(positions)
         if positions.size and (
             positions.min() < 0 or positions.max() >= self.count
@@ -148,11 +187,7 @@ class WindowSource:
                 f"positions must lie in [0, {self.count}); got range "
                 f"[{positions.min()}, {positions.max()}]"
             )
-        block = np.array(self._view[positions], dtype=FLOAT_DTYPE)
-        if self._normalization is Normalization.PER_WINDOW and positions.size:
-            block -= self._means[positions, None]
-            block /= self._stds[positions, None]
-        return block
+        return positions
 
     def window_block(self, start: int, stop: int) -> np.ndarray:
         """Windows for the contiguous position range ``[start, stop)``.

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.stats import QueryStats
 from repro.core.verification import (
+    PROBE_COLUMNS,
     VERIFICATION_MODES,
     verify,
     verify_intervals,
@@ -17,6 +18,7 @@ from repro.core.verification import (
     verify_positions_per_candidate,
 )
 from repro.exceptions import InvalidParameterError
+from repro.query.varlength import prefix_source
 
 from conftest import LENGTH
 
@@ -69,6 +71,7 @@ class TestStrategiesAgree:
         query, epsilon, _ = ground_truth
         result = _run(strategy, source_global, query, np.array([], dtype=int), epsilon)
         assert len(result) == 0
+        assert vars(result.stats) == vars(QueryStats())
 
     def test_all_regimes_agree_across_strategies(self, source_of):
         for regime in ("none", "global", "per_window"):
@@ -191,3 +194,180 @@ class TestDispatch:
             chunk_size=7,
         )
         assert result.positions.tolist() == expected
+
+
+REGIMES = ("none", "global", "per_window")
+VARIANTS = ("full", "shard", "detach")
+
+
+def _variant(source, variant):
+    """The source itself, or a shard / detached copy of its middle."""
+    if variant == "shard":
+        return source.shard(300, source.count - 200)
+    if variant == "detach":
+        return source.detach(300, source.count - 200)
+    return source
+
+
+def _epsilon(source, fraction):
+    """An ``ε`` on the scale of the source's value domain."""
+    return fraction * float(np.std(source.values))
+
+
+def _assert_identical(result, reference):
+    assert np.array_equal(result.positions, reference.positions)
+    assert result.distances.tobytes() == reference.distances.tobytes()
+    assert vars(result.stats) == vars(reference.stats)
+
+
+def _assert_kernels_match_reference(source, query, positions, epsilon, **kw):
+    """Bulk (two-pass) and blocked verification equal the per-candidate
+    loop byte for byte: positions, distances and counters."""
+    reference = verify_positions_per_candidate(
+        source, query, positions, epsilon, stats=QueryStats()
+    )
+    for kernel in (verify_positions, verify_positions_blocked):
+        result = kernel(
+            source, query, positions, epsilon, stats=QueryStats(), **kw
+        )
+        _assert_identical(result, reference)
+    return reference
+
+
+class TestTwoPassKernel:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 0.6])
+    def test_matches_per_candidate(self, source_of, regime, variant, fraction):
+        source = _variant(source_of(regime), variant)
+        rng = np.random.default_rng(7)
+        at = source.count // 3
+        query = source.prepare_query(source.window(at))
+        positions = np.append(rng.permutation(source.count)[: source.count // 2], at)
+        positions = np.unique(positions)[::-1]
+        reference = _assert_kernels_match_reference(
+            source, query, positions, _epsilon(source, fraction)
+        )
+        assert at in reference.positions
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_candidate_reaches_pass_two(self, source_of, regime):
+        source = source_of(regime)
+        query = source.prepare_query(source.window(10))
+        positions = np.arange(0, source.count, 2)
+        reference = _assert_kernels_match_reference(
+            source, query, positions, 1e9
+        )
+        assert np.array_equal(reference.positions, positions)
+
+    def test_epsilon_zero_keeps_the_exact_match(self, source_global, query_of):
+        positions = np.arange(source_global.count)
+        reference = _assert_kernels_match_reference(
+            source_global, query_of(100), positions, 0.0
+        )
+        assert 100 in reference.positions
+        assert np.all(reference.distances == 0.0)
+
+    @pytest.mark.parametrize("regime", ["none", "global"])
+    def test_prefix_source_with_tail_positions(self, source_of, regime):
+        source = source_of(regime)
+        m = LENGTH // 2
+        psource = prefix_source(source, m)
+        query = np.array(psource.window(500))
+        tail = np.arange(source.count, psource.count)
+        assert tail.size == LENGTH - m
+        positions = np.concatenate(
+            (tail, np.random.default_rng(3).permutation(source.count)[:900])
+        )
+        reference = _assert_kernels_match_reference(
+            psource, query, positions, _epsilon(source, 0.6)
+        )
+        everything = _assert_kernels_match_reference(
+            psource, query, tail, 1e9
+        )
+        assert np.array_equal(everything.positions, tail)
+        assert reference.stats.candidates == positions.size
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_unsorted_positions_small_chunks(self, source_of, regime):
+        source = source_of(regime)
+        query = source.prepare_query(source.window(1234))
+        positions = np.random.default_rng(11).permutation(source.count)
+        _assert_kernels_match_reference(
+            source, query, positions, _epsilon(source, 0.6), chunk_size=7
+        )
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("length", [4, PROBE_COLUMNS, PROBE_COLUMNS + 1])
+    def test_short_windows(self, source_of, regime, length):
+        # At length <= PROBE_COLUMNS the first pass reads the whole
+        # window and the second pass is empty.
+        source = source_of(regime, length)
+        query = source.prepare_query(source.window(77))
+        positions = np.arange(source.count)
+        for fraction in (0.0, 0.3, 2.0):
+            _assert_kernels_match_reference(
+                source, query, positions, _epsilon(source, fraction)
+            )
+
+    @pytest.mark.parametrize(
+        "strategy", [verify_positions, verify_positions_blocked]
+    )
+    @pytest.mark.parametrize("bad", [-1, "count"])
+    def test_out_of_range_positions_raise(
+        self, source_global, query_of, strategy, bad
+    ):
+        bad = source_global.count if bad == "count" else bad
+        with pytest.raises(InvalidParameterError, match="positions must lie"):
+            strategy(source_global, query_of(5), [3, bad, 9], 1e9)
+
+
+class TestWindowColumns:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_full_window_gather(self, source_of, regime, variant):
+        source = _variant(source_of(regime), variant)
+        rng = np.random.default_rng(5)
+        positions = rng.integers(0, source.count, 200)
+        full = source.windows(positions)
+        for columns in (
+            np.arange(LENGTH),
+            rng.permutation(LENGTH)[:PROBE_COLUMNS],
+            np.array([LENGTH - 1, 0, 0, 17]),
+            np.array([], dtype=int),
+        ):
+            gathered = source.window_columns(positions, columns)
+            assert gathered.shape == (positions.size, columns.size)
+            assert gathered.dtype == full.dtype
+            assert gathered.tobytes() == full[:, columns].tobytes()
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_per_window_columns(self, source_of, regime):
+        source = source_of(regime)
+        rng = np.random.default_rng(6)
+        positions = rng.integers(0, source.count, 50)
+        columns = rng.integers(0, LENGTH, (50, PROBE_COLUMNS))
+        expected = np.take_along_axis(source.windows(positions), columns, axis=1)
+        assert (
+            source.window_columns(positions, columns).tobytes()
+            == expected.tobytes()
+        )
+
+    def test_fresh_writable_array(self, source_global):
+        gathered = source_global.window_columns([0, 1], [0, 1])
+        assert gathered.flags.writeable
+        assert not np.shares_memory(gathered, source_global.values)
+
+    def test_empty_positions(self, source_global):
+        assert source_global.window_columns([], [0, 3]).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, "count"])
+    def test_out_of_range_positions_raise(self, source_global, bad):
+        bad = source_global.count if bad == "count" else bad
+        with pytest.raises(InvalidParameterError, match="positions must lie"):
+            source_global.window_columns([0, bad], [0])
+
+    @pytest.mark.parametrize("bad", [-1, LENGTH])
+    def test_out_of_range_columns_raise(self, source_global, bad):
+        with pytest.raises(InvalidParameterError, match="columns must lie"):
+            source_global.window_columns([0, 1], [0, bad])
