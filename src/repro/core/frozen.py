@@ -40,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -63,7 +63,7 @@ from ..query.capabilities import (
     CAP_VERIFICATION,
 )
 from ..query.registration import register_plane
-from ..query.spec import prepare_values
+from ..query.spec import normalize_exclude, prepare_values
 from ..query.varlength import (
     is_prefix_query,
     merge_exists_stats,
@@ -73,7 +73,7 @@ from .batch import BatchResult
 from .distance import reorder_by_magnitude
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import PROBE_COLUMNS, partial_distance, verify
+from .verification import PROBE_COLUMNS, partial_distance, seeded_knn, verify
 from .windows import WindowSource
 
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
@@ -1081,18 +1081,21 @@ class FrozenTSIndex:
         return results
 
     # ------------------------------------------------------------------
-    # k-NN (best-first over the flat arrays)
+    # k-NN: seed a radius, range-collect, rank in lower-bound order
     # ------------------------------------------------------------------
     def knn(
         self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
     ) -> SearchResult:
         """The ``k`` windows nearest to ``query`` in Chebyshev distance.
 
-        Best-first over the flat arrays; one vectorized bound reduction
-        per expanded node instead of one call per child. The answer —
-        ranked by ``(distance, position)`` — is exactly
-        :meth:`TSIndex.knn <repro.core.tsindex.TSIndex.knn>`'s. Queries
-        shorter than ``l`` dispatch to the pipeline's exact prefix scan.
+        The three steps of :meth:`TSIndex.knn
+        <repro.core.tsindex.TSIndex.knn>`, with the same answer and
+        counter meanings: a best-first descent seeds the radius τ, the
+        level-synchronous collector of :meth:`search` gathers every
+        window within τ, and :func:`~repro.core.verification.rank_nearest`
+        ranks them by ``(distance, position)``. Counters: descent plus
+        collection for the traversal; ``candidates`` are the range
+        candidates outside ``exclude``, ``verified`` the exact distances.
         """
         if is_prefix_query(query, self._source.length):
             from ..query import QuerySpec, execute
@@ -1103,86 +1106,41 @@ class FrozenTSIndex:
             )
         k = check_positive_int(k, name="k")
         query = self._prepare_query(query)
-        if exclude is not None:
-            exclude_start, exclude_stop = int(exclude[0]), int(exclude[1])
-            if exclude_start > exclude_stop:
-                raise InvalidParameterError(
-                    f"exclude range must satisfy start <= stop, got {exclude}"
-                )
+        exclude = normalize_exclude(exclude)
         stats = QueryStats()
+        return seeded_knn(
+            self._source,
+            query,
+            k,
+            self._leaves_best_first(query, stats),
+            lambda tau: self._collect_candidates(query, tau, stats),
+            exclude=exclude,
+            stats=stats,
+        )
+
+    def _leaves_best_first(
+        self, query: np.ndarray, stats: QueryStats
+    ) -> Iterator[np.ndarray]:
+        """Leaf position spans in ascending order of the leaves' Eq. 2
+        bound: a best-first descent, as lazy as its consumer."""
         if self.node_count == 0:
-            return SearchResult.empty(stats)
-
-        frontier: list[tuple[float, int]] = [(self._node_bound(query, 0), 0)]
-        # Max-heap of the best k ((distance, position) both negated, so
-        # ties at the k-th distance resolve to the smallest positions).
-        best: list[tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
+            return
+        frontier = [(self._node_bound(query, 0), 0)]
         while frontier:
-            bound, node = heapq.heappop(frontier)
-            if bound > kth():
-                stats.nodes_pruned += 1
-                continue
+            _, node = heapq.heappop(frontier)
             stats.nodes_visited += 1
             if self._kinds[node] == 1:
                 stats.leaves_accessed += 1
-                positions = self._leaf_span(node)
-                if exclude is not None:
-                    keep = (positions < exclude_start) | (
-                        positions >= exclude_stop
-                    )
-                    positions = positions[keep]
-                    if positions.size == 0:
-                        continue
-                block = self._source.windows(positions)
-                profile = np.max(np.abs(block - query), axis=1)
-                stats.candidates += positions.size
-                stats.verified += positions.size
-                for distance, position in zip(
-                    profile.tolist(), positions.tolist()
-                ):
-                    entry = (-float(distance), -int(position))
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-            else:
-                child_ids, upper, lower = self._child_block(node)
-                threshold = kth()
-                if np.isinf(threshold):
-                    survivors = np.arange(child_ids.size)
-                else:
-                    survivors = np.flatnonzero(
-                        self._prune_keep(query, upper, lower, threshold)
-                    )
-                stats.nodes_pruned += int(child_ids.size - survivors.size)
-                if survivors.size == 0:
-                    continue
-                bounds = np.maximum(
-                    np.maximum(
-                        query[:, None] - upper[:, survivors],
-                        lower[:, survivors] - query[:, None],
-                    ).max(axis=0),
-                    0.0,
-                )
-                for child_bound, child in zip(
-                    bounds.tolist(), child_ids[survivors].tolist()
-                ):
-                    heapq.heappush(frontier, (child_bound, child))
-
-        ranked = sorted(
-            (-negated, -negated_position)
-            for negated, negated_position in best
-        )
-        stats.matches = len(ranked)
-        return SearchResult(
-            positions=np.asarray([p for _, p in ranked], dtype=POSITION_DTYPE),
-            distances=np.asarray([d for d, _ in ranked], dtype=FLOAT_DTYPE),
-            stats=stats,
-        )
+                yield self._leaf_span(node)
+                continue
+            child_ids, upper, lower = self._child_block(node)
+            bounds = np.maximum(
+                query[:, None] - upper, lower - query[:, None]
+            ).max(axis=0)
+            for child_bound, child in zip(
+                np.maximum(bounds, 0.0).tolist(), child_ids.tolist()
+            ):
+                heapq.heappush(frontier, (child_bound, child))
 
     # ------------------------------------------------------------------
     # Existence (early-exit decision procedure)

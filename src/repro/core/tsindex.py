@@ -9,7 +9,7 @@ entries (Chebyshev distance for leaves, Eq. 3 gap for internal nodes).
 Twin queries traverse top-down, pruning any subtree whose MBTS is more
 than ``ε`` away from the query (Lemma 1 / Algorithm 1).
 
-Beyond the paper, this module adds a best-first **k-NN twin search**
+Beyond the paper, this module adds an exact **k-NN twin search**
 (`knn`) that uses the same Eq. 2 bound as a lower bound, and hooks for
 bulk loading (see :mod:`repro.core.bulkload`).
 """
@@ -20,7 +20,7 @@ import dataclasses
 import heapq
 import itertools
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -41,7 +41,7 @@ from ..query.capabilities import (
     CAP_VERIFICATION,
 )
 from ..query.registration import register_plane
-from ..query.spec import prepare_values
+from ..query.spec import normalize_exclude, prepare_values
 from ..query.varlength import (
     is_prefix_query,
     merge_exists_stats,
@@ -50,7 +50,7 @@ from ..query.varlength import (
 from .mbts import MBTS
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import verify
+from .verification import seeded_knn, verify
 from .windows import WindowSource
 
 #: Valid split assignment metrics (DESIGN.md §5): ``area`` is classic
@@ -609,54 +609,11 @@ class TSIndex:
     def collect_varlength_candidates(
         self, query: np.ndarray, epsilon: float, stats: QueryStats
     ) -> np.ndarray:
-        """Algorithm 1's traversal with the Eq. 2 bound restricted to
-        the first ``query.size`` timestamps of every node envelope.
-
-        Returns unverified candidate window positions (tail positions
-        excluded) — the fan-out hook the composite planes (sharded,
-        live) call per shard/segment before one shared verification.
-        ``query`` must already be prepared.
-        """
-        m = query.size
-        root = self._root
-        if root is None:
-            return np.empty(0, dtype=POSITION_DTYPE)
-
-        stats.nodes_visited += 1
-        root_outside = np.maximum(
-            query - root.mbts.upper[:m], root.mbts.lower[:m] - query
-        ).max()
-        if max(float(root_outside), 0.0) > epsilon:
-            stats.nodes_pruned += 1
-            return np.empty(0, dtype=POSITION_DTYPE)
-        if root.is_leaf:
-            stats.leaves_accessed += 1
-            return np.asarray(root.positions, dtype=POSITION_DTYPE)
-
-        collected: list[np.ndarray] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            upper, lower = node.child_envelopes()
-            outside = np.maximum(
-                query - upper[:, :m], lower[:, :m] - query
-            ).max(axis=1)
-            stats.nodes_visited += len(node.children)
-            for child_index, child in enumerate(node.children):
-                if outside[child_index] > epsilon:
-                    stats.nodes_pruned += 1
-                    continue
-                if child.is_leaf:
-                    stats.leaves_accessed += 1
-                    collected.append(
-                        np.asarray(child.positions, dtype=POSITION_DTYPE)
-                    )
-                else:
-                    stack.append(child)
-
-        if not collected:
-            return np.empty(0, dtype=POSITION_DTYPE)
-        return np.concatenate(collected)
+        """Unverified candidate positions (tail excluded) for a prepared
+        prefix query — the fan-out hook the composite planes call per
+        shard/segment; the fixed-length collection already bounds over
+        the query's own length."""
+        return self._collect_candidates(query, epsilon, stats)
 
     def search_approximate(
         self, query: npt.ArrayLike, epsilon: float, *, max_leaves: int = 8
@@ -674,40 +631,10 @@ class TSIndex:
         max_leaves = check_positive_int(max_leaves, name="max_leaves")
         query = self._prepare_query(query)
         stats = QueryStats()
-        if self._root is None:
-            return SearchResult.empty(stats)
-
-        counter = itertools.count()
-        frontier = [
-            (self._root.mbts.distance_to_sequence(query), next(counter), self._root)
-        ]
-        collected: list[np.ndarray] = []
-        while frontier and stats.leaves_accessed < max_leaves:
-            bound, _, node = heapq.heappop(frontier)
-            if bound > epsilon:
-                stats.nodes_pruned += 1
-                break  # every remaining bound is at least as large
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                stats.leaves_accessed += 1
-                collected.append(
-                    np.asarray(node.positions, dtype=POSITION_DTYPE)
-                )
-            else:
-                bounds = self._child_bounds(node, query)
-                for child_bound, child in zip(bounds.tolist(), node.children):
-                    if child_bound <= epsilon:
-                        heapq.heappush(
-                            frontier, (child_bound, next(counter), child)
-                        )
-                    else:
-                        stats.nodes_pruned += 1
-
-        candidates = (
-            np.concatenate(collected)
-            if collected
-            else np.empty(0, dtype=POSITION_DTYPE)
+        leaves = itertools.islice(
+            self._leaves_best_first(query, stats, epsilon), max_leaves
         )
+        candidates = np.concatenate([np.empty(0, dtype=POSITION_DTYPE), *leaves])
         return verify(self._source, query, candidates, epsilon, stats=stats)
 
     def exists(
@@ -786,68 +713,69 @@ class TSIndex:
     def _collect_candidates(
         self, query: np.ndarray, epsilon: float, stats: QueryStats
     ) -> np.ndarray:
-        """Algorithm 1's traversal, accumulating leaf candidates."""
-        if self._root is None:
-            return np.empty(0, dtype=POSITION_DTYPE)
-
-        collected: list[np.ndarray] = []
+        """Algorithm 1's traversal, accumulating leaf candidates. Bounds
+        run over the first ``query.size`` timestamps of every envelope
+        (a node MBTS prefix bounds the window prefixes beneath it), so a
+        prefix query prunes losslessly too."""
         root = self._root
+        if root is None:
+            return np.empty(0, dtype=POSITION_DTYPE)
         stats.nodes_visited += 1
-        if root.mbts.distance_to_sequence(query) > epsilon:
+        m = query.size
+        outside = np.maximum(query - root.mbts.upper[:m], root.mbts.lower[:m] - query)
+        if outside.max() > epsilon:
             stats.nodes_pruned += 1
             return np.empty(0, dtype=POSITION_DTYPE)
         if root.is_leaf:
             stats.leaves_accessed += 1
             return np.asarray(root.positions, dtype=POSITION_DTYPE)
 
+        collected = [np.empty(0, dtype=POSITION_DTYPE)]
         stack = [root]
         while stack:
             node = stack.pop()
             upper, lower = node.child_envelopes()
-            outside = np.maximum(query - upper, lower - query).max(axis=1)
+            outside = np.maximum(query - upper[:, :m], lower[:, :m] - query)
             stats.nodes_visited += len(node.children)
-            for child_index, child in enumerate(node.children):
-                if outside[child_index] > epsilon:
+            for bound, child in zip(outside.max(axis=1).tolist(), node.children):
+                if bound > epsilon:
                     stats.nodes_pruned += 1
-                    continue
-                if child.is_leaf:
+                elif child.is_leaf:
                     stats.leaves_accessed += 1
                     collected.append(
                         np.asarray(child.positions, dtype=POSITION_DTYPE)
                     )
                 else:
                     stack.append(child)
-
-        if not collected:
-            return np.empty(0, dtype=POSITION_DTYPE)
         return np.concatenate(collected)
 
     # ------------------------------------------------------------------
-    # k-NN twin search (extension; best-first with the Eq. 2 bound)
+    # k-NN twin search (extension; the Eq. 2 bound as a lower bound)
     # ------------------------------------------------------------------
     def knn(
         self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
     ) -> SearchResult:
         """The ``k`` windows nearest to ``query`` in Chebyshev distance.
 
-        Best-first traversal: nodes are expanded in order of their Eq. 2
-        lower bound, and expansion stops once the bound exceeds the
-        current k-th best exact distance — the standard optimal R-tree
-        NN argument carries over because Eq. 2 lower-bounds the exact
-        distance of every window under the node (Lemma 1).
+        Exact, because Eq. 2 lower-bounds the distance of every window
+        under a node (Lemma 1): a best-first descent by that bound stops
+        once ``k`` windows outside ``exclude`` are seen, and the k-th
+        smallest of their distances is a radius τ; Algorithm 1's
+        traversal at τ collects every window that can be in the answer;
+        and :func:`~repro.core.verification.rank_nearest` verifies those
+        in ascending order of a probe-column lower bound, tightening τ.
+        Ties at the k-th distance go to the smallest position, as in
+        every plane's ``(distance, position)`` merge.
 
-        Ties at the k-th distance are broken by smallest position, so
-        the answer is a deterministic function of the data — and agrees
-        exactly with :class:`repro.engine.ShardedTSIndex`'s shard merge,
-        which ranks by ``(distance, position)``.
+        ``exclude`` removes the half-open position range ``[a, b)`` —
+        the *exclusion zone* matrix-profile style self joins use to skip
+        a query's trivial matches with its own overlapping windows.
 
-        ``exclude`` removes the half-open position range ``[a, b)`` from
-        consideration — the *exclusion zone* used by matrix-profile
-        style self joins to skip trivial matches of a query with its own
-        overlapping windows.
-
-        Queries shorter than ``l`` dispatch to the pipeline's exact
-        prefix scan (ranked by the same tie-break, tail included).
+        Counters: the traversal counters add up the descent and the
+        range traversal; ``candidates`` counts the range candidates
+        outside the exclusion zone, ``verified`` the windows whose exact
+        distance was computed. Queries shorter than ``l`` dispatch to the
+        pipeline's exact prefix scan (same tie-break, tail included).
         """
         if is_prefix_query(query, self._source.length):
             from ..query import QuerySpec, execute
@@ -858,70 +786,45 @@ class TSIndex:
             )
         k = check_positive_int(k, name="k")
         query = self._prepare_query(query)
-        if exclude is not None:
-            exclude_start, exclude_stop = int(exclude[0]), int(exclude[1])
-            if exclude_start > exclude_stop:
-                raise InvalidParameterError(
-                    f"exclude range must satisfy start <= stop, got {exclude}"
-                )
+        exclude = normalize_exclude(exclude)
         stats = QueryStats()
+        return seeded_knn(
+            self._source,
+            query,
+            k,
+            self._leaves_best_first(query, stats),
+            lambda tau: self._collect_candidates(query, tau, stats),
+            exclude=exclude,
+            stats=stats,
+        )
+
+    def _leaves_best_first(
+        self, query: np.ndarray, stats: QueryStats, radius: float = np.inf
+    ) -> Iterator[np.ndarray]:
+        """Leaf positions in ascending order of the leaves' Eq. 2 bound:
+        a best-first descent, as lazy as its consumer, that prunes every
+        subtree bounded past ``radius``."""
         if self._root is None:
-            return SearchResult.empty(stats)
-
+            return
         counter = itertools.count()
-        frontier = [
-            (self._root.mbts.distance_to_sequence(query), next(counter), self._root)
-        ]
-        # Max-heap of the best k ((distance, position) both negated, so
-        # the root is the lexicographically worst entry and ties at the
-        # k-th distance resolve to the smallest positions).
-        best: list[tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
+        root_bound = self._root.mbts.distance_to_sequence(query)
+        frontier = [(root_bound, next(counter), self._root)]
         while frontier:
             bound, _, node = heapq.heappop(frontier)
-            if bound > kth():
+            if bound > radius:
                 stats.nodes_pruned += 1
-                continue
+                return
             stats.nodes_visited += 1
             if node.is_leaf:
                 stats.leaves_accessed += 1
-                positions = np.asarray(node.positions, dtype=POSITION_DTYPE)
-                if exclude is not None:
-                    keep = (positions < exclude_start) | (positions >= exclude_stop)
-                    positions = positions[keep]
-                    if positions.size == 0:
-                        continue
-                block = self._source.windows(positions)
-                profile = np.max(np.abs(block - query), axis=1)
-                stats.candidates += positions.size
-                stats.verified += positions.size
-                for distance, position in zip(profile.tolist(), positions.tolist()):
-                    entry = (-float(distance), -int(position))
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-            else:
-                bounds = self._child_bounds(node, query)
-                threshold = kth()
-                for child_bound, child in zip(bounds.tolist(), node.children):
-                    if child_bound <= threshold:
-                        heapq.heappush(
-                            frontier, (child_bound, next(counter), child)
-                        )
-                    else:
-                        stats.nodes_pruned += 1
-
-        ranked = sorted((-negated, -negated_position) for negated, negated_position in best)
-        stats.matches = len(ranked)
-        return SearchResult(
-            positions=np.asarray([p for _, p in ranked], dtype=POSITION_DTYPE),
-            distances=np.asarray([d for d, _ in ranked], dtype=FLOAT_DTYPE),
-            stats=stats,
-        )
+                yield np.asarray(node.positions, dtype=POSITION_DTYPE)
+                continue
+            bounds = self._child_bounds(node, query)
+            for child_bound, child in zip(bounds.tolist(), node.children):
+                if child_bound <= radius:
+                    heapq.heappush(frontier, (child_bound, next(counter), child))
+                else:
+                    stats.nodes_pruned += 1
 
     # ------------------------------------------------------------------
     def _prepare_query(self, query) -> np.ndarray:

@@ -27,17 +27,26 @@ twins. Four interchangeable strategies are provided:
 All strategies return identical results — positions, distances (bit for
 bit: a maximum does not depend on the order its terms are visited) and
 counters; tests enforce this.
+
+Both trees' k-NN finish here: :func:`seeded_knn` turns the first
+windows a best-first descent reaches into a radius τ, and
+:func:`rank_nearest` verifies the range candidates at τ in ascending
+order of their probe-column lower bound.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import numpy as np
 import numpy.typing as npt
 
 from .._util import (
+    FLOAT_DTYPE,
     POSITION_DTYPE,
     as_position_array,
     check_non_negative,
+    check_positive_int,
     iter_chunks,
 )
 from .distance import reorder_by_magnitude
@@ -55,6 +64,10 @@ DEFAULT_BLOCK = 16
 #: :func:`verify_positions` gathers for every candidate; only the
 #: candidates within ``ε`` on all of them get their other columns read.
 PROBE_COLUMNS = 8
+
+#: Candidates :func:`rank_nearest` verifies between two tightenings of
+#: its radius τ to the running k-th best distance.
+RANK_CHUNK = 64
 
 #: Verification strategies accepted by every method's ``search``:
 #: ``bulk`` — two-pass vectorized early abandoning (the library default);
@@ -182,6 +195,127 @@ def partial_distance(
     np.subtract(block, query_cells, out=block)
     np.abs(block, out=block)
     return block.max(axis=1)
+
+
+def rank_nearest(
+    source: WindowSource,
+    query: np.ndarray,
+    positions: npt.ArrayLike,
+    k: int,
+    *,
+    seed: tuple[np.ndarray, np.ndarray] | None = None,
+    stats: QueryStats | None = None,
+) -> SearchResult:
+    """The ``k`` windows of ``positions`` nearest to ``query``, ranked
+    by ``(distance, position)`` exactly as :func:`repro.query.scan_knn`.
+
+    ``seed`` holds windows already verified, ``(positions, distances)``:
+    they compete without being verified again, and their k-th smallest
+    distance is the first radius τ. The :data:`PROBE_COLUMNS`
+    largest-``|query|`` cells of every other candidate lower-bound its
+    distance; candidates are verified in ascending order of that bound,
+    :data:`RANK_CHUNK` at a time with τ tightened to the running k-th
+    best after each, until a bound exceeds τ (a bound equal to τ is
+    still verified, so a tie at the k-th distance goes to the smaller
+    position). Counts ``positions`` as candidates.
+    """
+    k = check_positive_int(k, name="k")
+    positions = as_position_array(positions)
+    stats = stats if stats is not None else QueryStats()
+    stats.candidates += int(positions.size)
+    best = (np.empty(0, dtype=POSITION_DTYPE), np.empty(0, dtype=FLOAT_DTYPE))
+    if seed is not None:
+        best = _top(*seed, k)
+        positions = positions[np.isin(positions, seed[0], invert=True)]
+    order = reorder_by_magnitude(query)
+    probe, rest = order[:PROBE_COLUMNS], order[PROBE_COLUMNS:]
+    bounds = np.concatenate([np.empty(0, dtype=FLOAT_DTYPE)] + [
+        partial_distance(source, positions[start:stop], probe, query[probe])
+        for start, stop in iter_chunks(positions.size, DEFAULT_CHUNK)
+    ])
+    tau = best[1][-1] if best[1].size == k else np.inf
+    within = np.flatnonzero(bounds <= tau)
+    ascending = within[np.argsort(bounds[within], kind="stable")]
+    positions, bounds = positions[ascending], bounds[ascending]
+    start = 0
+    while True:
+        stop = min(start + RANK_CHUNK, int(np.searchsorted(bounds, tau, "right")))
+        if start >= stop:
+            break
+        alive, running = positions[start:stop], bounds[start:stop]
+        if rest.size:
+            running = np.maximum(
+                running, partial_distance(source, alive, rest, query[rest])
+            )
+        stats.verified += int(alive.size)
+        best = _top(
+            np.concatenate((best[0], alive)),
+            np.concatenate((best[1], running)),
+            k,
+        )
+        if best[1].size == k:
+            tau = best[1][-1]
+        start = stop
+    stats.matches += int(best[0].size)
+    return SearchResult(positions=best[0], distances=best[1], stats=stats)
+
+
+def seeded_knn(
+    source: WindowSource,
+    query: np.ndarray,
+    k: int,
+    leaves: Iterable[np.ndarray],
+    collect: Callable[[float], np.ndarray],
+    *,
+    exclude: tuple[int, int] | None,
+    stats: QueryStats,
+) -> SearchResult:
+    """A tree's exact k-NN, from its best-first ``leaves`` (positions,
+    in ascending order of the leaves' Eq. 2 bound) and its range
+    collector ``collect(τ)``.
+
+    Leaves are taken until ``k`` windows outside the exclusion zone are
+    seen; if the descent drains first, they are every admissible window
+    and are simply ranked. Otherwise their k-th smallest distance τ
+    bounds the answer, so by Lemma 1 every window of it survives
+    ``collect(τ)``, and :func:`rank_nearest` ranks those outside the
+    zone.
+    """
+    seen = [np.empty(0, dtype=POSITION_DTYPE)]
+    count = 0
+    for positions in leaves:
+        seen.append(outside_zone(positions, exclude))
+        count += seen[-1].size
+        if count >= k:
+            break
+    seed = np.concatenate(seen)
+    if seed.size < k:
+        return rank_nearest(source, query, seed, k, stats=stats)
+    distances = partial_distance(source, seed, np.arange(query.size), query)
+    stats.verified += int(seed.size)
+    tau = float(np.partition(distances, k - 1)[k - 1])
+    candidates = outside_zone(collect(tau), exclude)
+    return rank_nearest(
+        source, query, candidates, k, seed=(seed, distances), stats=stats
+    )
+
+
+def outside_zone(
+    positions: np.ndarray, exclude: tuple[int, int] | None
+) -> np.ndarray:
+    """``positions`` without those in the half-open exclusion zone."""
+    if exclude is None:
+        return positions
+    return positions[(positions < exclude[0]) | (positions >= exclude[1])]
+
+
+def _top(
+    positions: np.ndarray, distances: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` of ``(positions, distances)`` by ``(distance,
+    position)``."""
+    order = np.lexsort((positions, distances))[:k]
+    return positions[order], distances[order]
 
 
 def verify_intervals(

@@ -22,7 +22,14 @@ import dataclasses
 from pathlib import Path
 
 from ..exceptions import InvalidParameterError
-from . import crash_safety, failpoint_sites, layering, lock_discipline, public_api
+from . import (
+    crash_safety,
+    declared_deps,
+    failpoint_sites,
+    layering,
+    lock_discipline,
+    public_api,
+)
 from .model import SourceTree, Violation, load_tree
 
 
@@ -85,6 +92,11 @@ CHECKERS: dict[str, Checker] = {
             public_api.CHECKER,
             "root exports are documented and have exactly one home __all__",
             public_api.check,
+        ),
+        Checker(
+            declared_deps.CHECKER,
+            "third-party imports are declared in [project].dependencies",
+            declared_deps.check,
         ),
     )
 }

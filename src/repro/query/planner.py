@@ -31,6 +31,7 @@ import numpy as np
 from .._util import (
     FLOAT_DTYPE,
     POSITION_DTYPE,
+    check_positive_int,
     iter_chunks,
     map_with_executor,
 )
@@ -51,7 +52,7 @@ from .capabilities import (
     capabilities_of,
 )
 from .merge import batch_result
-from .spec import QuerySpec, prepare_values
+from .spec import QuerySpec, normalize_exclude, prepare_values
 from .varlength import is_prefix_query, scan_prefix_knn, scan_prefix_search
 
 #: Windows per block in the synthesized scan kernels (bounds the
@@ -97,15 +98,18 @@ def scan_knn(source: Any, query: Any, k: int, exclude: Any = None) -> SearchResu
 
     Ranks by the library-wide ``(distance, position)`` tie-break, so
     the answer equals what a native tree k-NN over the same windows
-    returns.
+    returns. ``k`` and ``exclude`` are validated like every plane's
+    (:func:`~repro.query.spec.normalize_exclude`).
     """
     query = prepare_values(source, query)
+    k = check_positive_int(k, name="k")
+    exclude = normalize_exclude(exclude)
     count = source.count
     stats = QueryStats()
     distances = scan_distances(source, query)
     positions = np.arange(count, dtype=POSITION_DTYPE)
     if exclude is not None:
-        lo, hi = max(0, int(exclude[0])), min(count, int(exclude[1]))
+        lo, hi = max(0, exclude[0]), min(count, exclude[1])
         if lo < hi:
             keep = np.ones(count, dtype=bool)
             keep[lo:hi] = False
@@ -113,7 +117,7 @@ def scan_knn(source: Any, query: Any, k: int, exclude: Any = None) -> SearchResu
             distances = distances[keep]
     stats.candidates = int(positions.size)
     stats.verified = int(positions.size)
-    k_eff = min(int(k), int(positions.size))
+    k_eff = min(k, int(positions.size))
     if k_eff == 0:
         return SearchResult.empty(stats)
     # Full lexsort keeps ties exact at the k-th distance (argpartition

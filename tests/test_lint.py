@@ -428,6 +428,75 @@ class TestPublicApi:
 
 
 # ----------------------------------------------------------------------
+# declared-deps
+# ----------------------------------------------------------------------
+PYPROJECT = """\
+[project]
+name = "demo"
+dependencies = [
+    "numpy>=1.22",  # arrays
+    'SciPy',
+]
+
+[project.optional-dependencies]
+test = ["pytest"]
+"""
+
+
+def package_tree(tmp_path, modules, pyproject=PYPROJECT):
+    """A ``src/demo`` package under ``tmp_path`` (pyproject optional)."""
+    if pyproject is not None:
+        (tmp_path / "pyproject.toml").write_text(pyproject)
+    package = tmp_path / "src" / "demo"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for name, code in modules.items():
+        (package / name).write_text(code)
+    return package
+
+
+class TestDeclaredDeps:
+    CHECKS = ["declared-deps"]
+    MODULE = (
+        "import os\n"
+        "import numpy.typing as npt\n"
+        "from scipy import stats\n"
+        "from demo import core\n"
+        "from . import util\n"
+        "def load():\n"
+        "    import yaml\n"
+        "    from pytest import approx\n"
+    )
+
+    def test_undeclared_imports_flagged(self, tmp_path):
+        package = package_tree(tmp_path, {"mod.py": self.MODULE})
+        report = run_lint(package, checks=self.CHECKS)
+        assert [(v.path, v.line) for v in report.violations] == [
+            ("mod.py", 7), ("mod.py", 8),
+        ]
+        assert "'yaml'" in report.violations[0].message
+        # An optional extra is not an install-time dependency.
+        assert "'pytest'" in report.violations[1].message
+
+    def test_declared_stdlib_and_own_imports_clean(self, tmp_path):
+        package = package_tree(
+            tmp_path, {"mod.py": "\n".join(self.MODULE.splitlines()[:5])}
+        )
+        assert run_lint(package, checks=self.CHECKS).ok
+
+    def test_no_pyproject_beside_tree_reports_nothing(self, tmp_path):
+        package = package_tree(
+            tmp_path, {"mod.py": self.MODULE}, pyproject=None
+        )
+        assert run_lint(package, checks=self.CHECKS).ok
+        assert violations({"mod.py": self.MODULE}, self.CHECKS).ok
+
+    def test_real_tree_declares_its_imports(self):
+        report = run_lint(checks=self.CHECKS)
+        assert report.ok, "\n" + report.format_text()
+
+
+# ----------------------------------------------------------------------
 # runner / report plumbing
 # ----------------------------------------------------------------------
 class TestRunner:
